@@ -3,13 +3,17 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/recio"
 	"repro/internal/sim"
 )
 
@@ -111,6 +115,66 @@ func TestCheckpointFingerprintMismatchDiscards(t *testing.T) {
 	defer ck2.Close()
 	if ck2.Len() != 0 {
 		t.Errorf("checkpoint from seed 3 served %d results to seed 4", ck2.Len())
+	}
+}
+
+// A result whose encoded record exceeds recio's default record bound
+// (F15's does) must read back on reopen, and so must every record
+// written after it.
+func TestCheckpointLargeRecordRoundTrips(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Seed: 6, Quick: true}
+	big := core.Result{ID: "F15", Title: "large"}
+	s := core.Series{Label: "dense"}
+	for i := 0; i < 20000; i++ {
+		s.X = append(s.X, float64(i)/3)
+		s.Y = append(s.Y, math.Sqrt(float64(i)))
+	}
+	big.Series = append(big.Series, s)
+	rec, err := EncodeCheckpointRecord(opts, big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec) <= recio.DefaultMaxRecord {
+		t.Fatalf("test record is only %d bytes; it must exceed %d", len(rec), recio.DefaultMaxRecord)
+	}
+
+	ck, err := OpenCheckpoint(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []core.Result{{ID: "T1", Title: "before"}, big, {ID: "X1", Title: "after"}} {
+		if err := ck.Record(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ck.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	ck2, err := OpenCheckpoint(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ck2.Close()
+	if ck2.Len() != 3 {
+		t.Fatalf("reopened checkpoint holds %d results, want 3", ck2.Len())
+	}
+	got, ok := ck2.Done("F15")
+	if !ok || !reflect.DeepEqual(got, big) {
+		t.Error("large record did not read back intact")
+	}
+	if _, ok := ck2.Done("X1"); !ok {
+		t.Error("record written after the large one was lost")
+	}
+}
+
+// A record above MaxCheckpointRecord is refused when written, since no
+// reader would accept it.
+func TestCheckpointRecordBoundEnforcedOnWrite(t *testing.T) {
+	huge := core.Result{ID: "F15", Notes: []string{strings.Repeat("x", MaxCheckpointRecord)}}
+	if _, err := EncodeCheckpointRecord(Options{Seed: 6, Quick: true}, huge); err == nil {
+		t.Fatal("oversized record encoded without error")
 	}
 }
 

@@ -27,6 +27,12 @@ const (
 	// CheckpointFile is the campaign checkpoint's file name inside the
 	// capture directory.
 	CheckpointFile = "campaign.ckpt"
+	// MaxCheckpointRecord bounds one record payload — the gob entry both
+	// campaign.ckpt and the shard protocol's result messages carry.
+	// Results hold whole experiment series, so it is far looser than
+	// recio.DefaultMaxRecord. Encoding refuses a larger record and every
+	// reader accepts up to it, so whatever is written reads back.
+	MaxCheckpointRecord = 1 << 24
 )
 
 // ErrCheckpointMismatch reports that a checkpoint opened for resume was
@@ -79,11 +85,16 @@ func DecodeCheckpointRecord(payload []byte) (fingerprint string, res core.Result
 	return e.Fingerprint, e.Result, nil
 }
 
-// encodeEntry gob-encodes one checkpoint entry.
+// encodeEntry gob-encodes one checkpoint entry within
+// MaxCheckpointRecord.
 func encodeEntry(e checkpointEntry) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(e); err != nil {
 		return nil, err
+	}
+	if buf.Len() > MaxCheckpointRecord {
+		return nil, fmt.Errorf("checkpoint record for %s is %d bytes, above the %d-byte bound",
+			e.Result.ID, buf.Len(), MaxCheckpointRecord)
 	}
 	return buf.Bytes(), nil
 }
@@ -251,6 +262,7 @@ func (c *Checkpoint) load() []checkpointEntry {
 	if err != nil {
 		return nil
 	}
+	r.MaxRecord = MaxCheckpointRecord
 	var out []checkpointEntry
 	for {
 		payload, err := r.Next()

@@ -62,9 +62,9 @@ const (
 	tagDone = 'D'
 )
 
-// maxWireRecord bounds a single protocol record. Results carry whole
-// experiment series, so the bound is far looser than recio's default.
-const maxWireRecord = 1 << 24
+// maxWireRecord bounds a single protocol record: the tag byte plus the
+// largest payload, a campaign.ckpt result record.
+const maxWireRecord = 1 + experiments.MaxCheckpointRecord
 
 // helloMsg configures a worker session. Everything a worker needs
 // arrives here rather than on its command line, so the same argv works

@@ -190,6 +190,17 @@ func TestMediumRejectsUnknownRadioIDs(t *testing.T) {
 		t.Fatalf("LinkOffset = %v, want -2.5", got)
 	}
 	m.InvalidateRadio(a.ID)
+
+	// A radio has no channel to itself: a self pair would alias another
+	// pair's slot, so it panics instead.
+	func() {
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "no channel to itself") {
+				t.Fatalf("self pair: panic %v, want a no-channel-to-itself panic", r)
+			}
+		}()
+		m.LinkOffset(b.ID, b.ID)
+	}()
 }
 
 // Satellite: *sim.DeadlineError participates in the errors.Is/errors.As

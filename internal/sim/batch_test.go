@@ -30,11 +30,26 @@ func batchTestScene(t testing.TB) (*Medium, []*Radio, *antenna.Codebook) {
 }
 
 // scalarRxPowerDBm is the retained reference implementation: the scalar
-// per-path sum over the cached channel plus every dB-domain adjustment
+// per-path sum over a fresh trace of the radios' current positions —
+// traced low ID to high ID like the medium's canonical entry and
+// mirrored for the reverse orientation — plus every dB-domain adjustment
 // the medium applies. The batch path must stay within BatchEpsilonDB.
 func scalarRxPowerDBm(m *Medium, tx, rx *Radio) float64 {
-	p := rf.ReceivedPowerDBm(0, m.channel(tx, rx), tx.txGainFn, rx.rxGainFn)
-	adj := tx.TxPowerDBm - m.ExtraLossDB + m.linkOffset(tx.ID, rx.ID)
+	lo, hi := tx, rx
+	if tx.ID > rx.ID {
+		lo, hi = rx, tx
+	}
+	ps, err := m.tracer.TraceAppend(nil, lo.Pos, hi.Pos)
+	if err != nil {
+		panic(err)
+	}
+	if tx != lo {
+		for i := range ps {
+			ps[i].AoD, ps[i].AoA = ps[i].AoA, ps[i].AoD
+		}
+	}
+	p := rf.ReceivedPowerDBm(0, ps, tx.txGainFn, rx.rxGainFn)
+	adj := tx.TxPowerDBm - m.ExtraLossDB + m.LinkOffset(tx.ID, rx.ID)
 	if tx.Channel != rx.Channel {
 		adj -= AdjacentChannelLeakageDB
 	}
@@ -97,11 +112,10 @@ func TestSweepMatchesPerSectorPower(t *testing.T) {
 	}
 }
 
-// Satellite hazard check: every invalidation route — selective wall
-// moves, radio moves, structural edits — must drop the pair's gain
-// bundle (and its memoized kernel results) in lockstep with the
-// paths/revPaths caches, so no batch evaluation ever reads geometry the
-// tracer has abandoned.
+// Every invalidation route — selective wall moves, radio moves,
+// structural edits — must drop the pair's gain bundles and memoized
+// kernel results together with its path list, so no batch evaluation
+// ever reads geometry the tracer has abandoned.
 func TestBundleInvalidationLockstep(t *testing.T) {
 	room := geom.Open()
 	room.AddObstacle(geom.V(1.5, -1), geom.V(1.5, -0.5), "human")
@@ -113,10 +127,9 @@ func TestBundleInvalidationLockstep(t *testing.T) {
 	m.RxPowerDBm(r[0], r[1])
 	m.RxPowerDBm(r[1], r[0])
 	m.RxPowerDBm(r[0], r[2])
-	key := pairKey(r[0].ID, r[1].ID)
-	pb, ok := m.bundles[key]
-	if !ok || !pb.revBuilt {
-		t.Fatalf("bundle not primed in both orientations (ok=%v)", ok)
+	e := &m.pairs[pairIndex(r[0].ID, r[1].ID)]
+	if !e.built || !e.revBuilt {
+		t.Fatalf("bundle not primed in both orientations (built=%v)", e.built)
 	}
 
 	// A wall move crossing the near pair's rays drops exactly that
@@ -125,10 +138,10 @@ func TestBundleInvalidationLockstep(t *testing.T) {
 	before := m.RxPowerDBm(r[1], r[0])
 	room.MoveWall(walker, geom.Seg(geom.V(1.5, -0.2), geom.V(1.5, 0.3)))
 	m.syncRoom()
-	if _, ok := m.bundles[key]; ok {
+	if m.cached(r[0], r[1]) {
 		t.Fatal("bundle survived a wall move across its rays")
 	}
-	if _, ok := m.bundles[pairKey(r[0].ID, r[2].ID)]; !ok {
+	if !m.cached(r[0], r[2]) {
 		t.Error("distant pair's bundle was needlessly dropped")
 	}
 	rev := m.RxPowerDBm(r[1], r[0])
@@ -142,7 +155,7 @@ func TestBundleInvalidationLockstep(t *testing.T) {
 	// Radio move: InvalidateRadio drops the touching bundles.
 	m.RxPowerDBm(r[0], r[1])
 	m.InvalidateRadio(r[0].ID)
-	if _, ok := m.bundles[key]; ok {
+	if m.cached(r[0], r[1]) {
 		t.Error("bundle survived InvalidateRadio")
 	}
 
@@ -150,8 +163,8 @@ func TestBundleInvalidationLockstep(t *testing.T) {
 	m.RxPowerDBm(r[0], r[1])
 	room.AddWall(geom.V(-5, 50), geom.V(5, 50), "glass")
 	m.syncRoom()
-	if len(m.bundles) != 0 {
-		t.Errorf("structural edit left %d bundles", len(m.bundles))
+	if n := m.cachedPairs(); n != 0 {
+		t.Errorf("structural edit left %d bundles", n)
 	}
 }
 

@@ -18,9 +18,23 @@ func testMedium(room *geom.Room, n int) (*Medium, []*Radio) {
 	return m, radios
 }
 
-// The cached canonical channel, read in the reverse direction, must be
-// the exact mirror of the forward one: same loss and geometry, departure
-// and arrival angles swapped, reflection points walked back to front.
+// cached reports whether the pair's channel entry is built.
+func (m *Medium) cached(a, b *Radio) bool { return m.pairs[pairIndex(a.ID, b.ID)].built }
+
+// cachedPairs counts the built pair entries.
+func (m *Medium) cachedPairs() int {
+	n := 0
+	for i := range m.pairs {
+		if m.pairs[i].built {
+			n++
+		}
+	}
+	return n
+}
+
+// The reversed bundle, read in the reverse direction, must be the exact
+// mirror of the canonical one: same per-path weights, departure and
+// arrival angles swapped, and reciprocal received power.
 func TestChannelReciprocity(t *testing.T) {
 	room := geom.Open()
 	room.AddWall(geom.V(-3, 2), geom.V(8, 2), "metal")
@@ -29,34 +43,34 @@ func TestChannelReciprocity(t *testing.T) {
 	r[0].Pos = geom.V(0, 0)
 	r[1].Pos = geom.V(5, 0.7)
 
-	fwd := m.channel(r[0], r[1])
-	rev := m.channel(r[1], r[0])
-	if len(fwd) == 0 || len(fwd) != len(rev) {
-		t.Fatalf("path counts: fwd %d, rev %d", len(fwd), len(rev))
-	}
-	for i := range fwd {
-		f, b := fwd[i], rev[i]
-		if f.LossDB != b.LossDB || f.Length != b.Length || f.Order != b.Order {
-			t.Errorf("path %d: loss/length/order not reciprocal: %+v vs %+v", i, f, b)
-		}
-		if f.AoD != b.AoA || f.AoA != b.AoD {
-			t.Errorf("path %d: angles not swapped: fwd AoD=%v AoA=%v, rev AoD=%v AoA=%v",
-				i, f.AoD, f.AoA, b.AoD, b.AoA)
-		}
-		if len(f.Points) != len(b.Points) {
-			t.Fatalf("path %d: point counts differ", i)
-		}
-		for j := range f.Points {
-			if f.Points[j] != b.Points[len(b.Points)-1-j] {
-				t.Errorf("path %d: points not reversed: %v vs %v", i, f.Points, b.Points)
-			}
-		}
-	}
 	// Reciprocity at the power level with isotropic patterns: identical.
 	pf := m.RxPowerDBm(r[0], r[1])
 	pb := m.RxPowerDBm(r[1], r[0])
 	if math.Abs(pf-pb) > 1e-9 {
 		t.Errorf("received power not reciprocal: %v vs %v dBm", pf, pb)
+	}
+	e := &m.pairs[pairIndex(r[0].ID, r[1].ID)]
+	if !e.built || !e.revBuilt {
+		t.Fatalf("entry not built in both orientations (built=%v rev=%v)", e.built, e.revBuilt)
+	}
+	fwd, rev := &e.fwd, &e.rev
+	if fwd.Len() == 0 || fwd.Len() != rev.Len() || fwd.Len() != len(e.paths) {
+		t.Fatalf("ray counts: fwd %d, rev %d, paths %d", fwd.Len(), rev.Len(), len(e.paths))
+	}
+	for i := range fwd.WLin {
+		if fwd.WLin[i] != rev.WLin[i] {
+			t.Errorf("ray %d: weights not reciprocal: %v vs %v", i, fwd.WLin[i], rev.WLin[i])
+		}
+		if fwd.AoD[i] != rev.AoA[i] || fwd.AoA[i] != rev.AoD[i] {
+			t.Errorf("ray %d: angles not swapped: fwd AoD=%v AoA=%v, rev AoD=%v AoA=%v",
+				i, fwd.AoD[i], fwd.AoA[i], rev.AoD[i], rev.AoA[i])
+		}
+		if fwd.AoD[i] != e.paths[i].AoD || fwd.AoA[i] != e.paths[i].AoA {
+			t.Errorf("ray %d: canonical bundle angles differ from its path", i)
+		}
+	}
+	if fwd.SumDb != rev.SumDb {
+		t.Errorf("gain ceilings differ: %v vs %v dB", fwd.SumDb, rev.SumDb)
 	}
 }
 
@@ -64,17 +78,17 @@ func TestChannelReciprocity(t *testing.T) {
 func TestInvalidateRadioSelective(t *testing.T) {
 	m, r := testMedium(geom.Open(), 3)
 	r[0].Pos, r[1].Pos, r[2].Pos = geom.V(0, 0), geom.V(3, 0), geom.V(0, 4)
-	m.channel(r[0], r[1])
-	m.channel(r[0], r[2])
-	m.channel(r[1], r[2])
-	if len(m.paths) != 3 {
-		t.Fatalf("cache primed with %d pairs, want 3", len(m.paths))
+	m.RxPowerDBm(r[0], r[1])
+	m.RxPowerDBm(r[0], r[2])
+	m.RxPowerDBm(r[1], r[2])
+	if n := m.cachedPairs(); n != 3 {
+		t.Fatalf("cache primed with %d pairs, want 3", n)
 	}
 	m.InvalidateRadio(r[0].ID)
-	if len(m.paths) != 1 {
-		t.Fatalf("cache holds %d pairs after InvalidateRadio, want 1", len(m.paths))
+	if n := m.cachedPairs(); n != 1 {
+		t.Fatalf("cache holds %d pairs after InvalidateRadio, want 1", n)
 	}
-	if _, ok := m.paths[pairKey(r[1].ID, r[2].ID)]; !ok {
+	if !m.cached(r[1], r[2]) {
 		t.Error("the pair not touching the moved radio was dropped")
 	}
 }
@@ -89,19 +103,19 @@ func TestSyncRoomSelectiveInvalidation(t *testing.T) {
 	// Pair (0,1) straddles the walker's track; pair (2,3) lives far away.
 	r[0].Pos, r[1].Pos = geom.V(0, 0), geom.V(3, 0)
 	r[2].Pos, r[3].Pos = geom.V(40, 40), geom.V(43, 40)
-	m.channel(r[0], r[1])
-	m.channel(r[2], r[3])
-	if len(m.paths) != 2 {
-		t.Fatalf("cache primed with %d pairs, want 2", len(m.paths))
+	m.RxPowerDBm(r[0], r[1])
+	m.RxPowerDBm(r[2], r[3])
+	if n := m.cachedPairs(); n != 2 {
+		t.Fatalf("cache primed with %d pairs, want 2", n)
 	}
 
 	// Walk the blocker onto the near pair's line of sight.
 	room.MoveWall(walker, geom.Seg(geom.V(1.5, -0.2), geom.V(1.5, 0.3)))
 	m.syncRoom()
-	if _, ok := m.paths[pairKey(r[0].ID, r[1].ID)]; ok {
+	if m.cached(r[0], r[1]) {
 		t.Error("pair crossed by the moved blocker survived the move")
 	}
-	if _, ok := m.paths[pairKey(r[2].ID, r[3].ID)]; !ok {
+	if !m.cached(r[2], r[3]) {
 		t.Error("distant pair was needlessly invalidated")
 	}
 
@@ -115,19 +129,20 @@ func TestSyncRoomSelectiveInvalidation(t *testing.T) {
 	}
 
 	// Structural edit: everything goes.
-	m.channel(r[2], r[3])
+	m.RxPowerDBm(r[2], r[3])
 	room.AddWall(geom.V(-5, 50), geom.V(5, 50), "glass")
 	m.syncRoom()
-	if len(m.paths) != 0 {
-		t.Errorf("structural edit left %d cached pairs", len(m.paths))
+	if n := m.cachedPairs(); n != 0 {
+		t.Errorf("structural edit left %d cached pairs", n)
 	}
 }
 
 // TestBlockageWalkSteadyStateAllocFree pins the cost of the paper's
-// blockage-walker pattern (experiment X1): once the caches and freelists
-// are warm, a wall move plus the selective invalidation plus the
-// re-trace of the affected pair must not allocate — path-list storage
-// cycles through Medium.pathsFree and rf.Tracer.TraceAppend.
+// blockage-walker pattern (experiment X1): once the pair entry is warm,
+// a wall move plus the selective invalidation plus the re-trace and
+// bundle rebuild of the affected pair, read in both orientations, must
+// not allocate — the entry's own path and bundle storage is reused
+// through rf.Tracer.TraceAppend.
 func TestBlockageWalkSteadyStateAllocFree(t *testing.T) {
 	room := geom.Open()
 	room.AddWall(geom.V(-3, 2), geom.V(8, 2), "metal")
@@ -136,24 +151,26 @@ func TestBlockageWalkSteadyStateAllocFree(t *testing.T) {
 	m, r := testMedium(room, 2)
 	r[0].Pos, r[1].Pos = geom.V(0, 0), geom.V(3, 0)
 
-	// Warm both move positions, both orientations, and the freelists.
+	// Warm both move positions and both orientations.
 	positions := []geom.Segment{
 		geom.Seg(geom.V(1.5, -0.2), geom.V(1.5, 0.3)),
 		geom.Seg(geom.V(1.5, -1), geom.V(1.5, -0.5)),
 	}
 	for i := 0; i < 4; i++ {
 		room.MoveWall(walker, positions[i%2])
-		m.channel(r[0], r[1])
-		m.channel(r[1], r[0])
+		m.RxPowerDBm(r[0], r[1])
+		m.RxPowerDBm(r[1], r[0])
 	}
+	e := &m.pairs[pairIndex(r[0].ID, r[1].ID)]
 	step := 0
 	allocs := testing.AllocsPerRun(200, func() {
 		room.MoveWall(walker, positions[step%2])
 		step++
-		if len(m.channel(r[0], r[1])) == 0 {
+		m.RxPowerDBm(r[0], r[1])
+		if len(e.paths) == 0 {
 			t.Fatal("channel lost its paths")
 		}
-		m.channel(r[1], r[0])
+		m.RxPowerDBm(r[1], r[0])
 	})
 	if allocs != 0 {
 		t.Fatalf("blockage-walk steady state allocates %v per step, want 0", allocs)
@@ -167,10 +184,10 @@ func TestInvalidateChannelsResyncsEpoch(t *testing.T) {
 	room.AddObstacle(geom.V(1, -1), geom.V(1, 1), "human")
 	m, r := testMedium(room, 2)
 	r[0].Pos, r[1].Pos = geom.V(0, 0), geom.V(3, 0)
-	m.channel(r[0], r[1])
+	m.RxPowerDBm(r[0], r[1])
 	room.MoveWall(0, geom.Seg(geom.V(1.2, -1), geom.V(1.2, 1)))
 	m.InvalidateChannels()
-	if len(m.paths) != 0 {
+	if m.cachedPairs() != 0 {
 		t.Fatal("InvalidateChannels left cached pairs")
 	}
 	if m.roomEpoch != room.Epoch() {

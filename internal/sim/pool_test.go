@@ -91,8 +91,8 @@ func TestTimerPoolBounded(t *testing.T) {
 
 // --- Reversed-channel cache coherence ------------------------------------
 
-// The lazily built reverse orientation must be dropped together with the
-// canonical entry by every invalidation route; a stale mirror would keep
+// The lazily built reverse orientation must start over with the
+// canonical entry on every invalidation route; a stale mirror would keep
 // delivering the old geometry in one direction only.
 func TestReversedChannelCacheCoherence(t *testing.T) {
 	room := geom.Open()
@@ -100,27 +100,34 @@ func TestReversedChannelCacheCoherence(t *testing.T) {
 	walker := len(room.Walls) - 1
 	m, r := testMedium(room, 2)
 	r[0].Pos, r[1].Pos = geom.V(0, 0), geom.V(3, 0)
+	e := &m.pairs[pairIndex(r[0].ID, r[1].ID)]
 
 	// Prime both orientations.
-	m.channel(r[0], r[1])
-	m.channel(r[1], r[0])
-	key := pairKey(r[0].ID, r[1].ID)
-	if _, ok := m.revPaths[key]; !ok {
+	m.RxPowerDBm(r[0], r[1])
+	m.RxPowerDBm(r[1], r[0])
+	if !e.revBuilt {
 		t.Fatal("reverse orientation not cached")
 	}
 
-	// InvalidateRadio drops both orientations.
+	// InvalidateRadio drops the entry; its rebuild drops the mirror.
 	m.InvalidateRadio(r[0].ID)
-	if len(m.paths) != 0 || len(m.revPaths) != 0 {
-		t.Fatalf("InvalidateRadio left %d paths / %d revPaths", len(m.paths), len(m.revPaths))
+	if m.cachedPairs() != 0 {
+		t.Fatal("InvalidateRadio left the pair cached")
+	}
+	m.RxPowerDBm(r[0], r[1])
+	if e.revBuilt {
+		t.Fatal("mirror survived the canonical entry's rebuild")
 	}
 
-	// Re-prime, then walk the blocker onto the LOS: syncRoom must drop
-	// the mirror too, and the re-traced reverse channel must see the new
-	// geometry (equal power in both directions, isotropic patterns).
+	// Walk the blocker onto the LOS: syncRoom must drop the mirror too,
+	// and the re-traced reverse channel must see the new geometry (equal
+	// power in both directions, isotropic patterns).
 	before := m.RxPowerDBm(r[1], r[0])
 	room.MoveWall(walker, geom.Seg(geom.V(1.5, -0.2), geom.V(1.5, 0.3)))
 	fwd := m.RxPowerDBm(r[0], r[1])
+	if e.revBuilt {
+		t.Error("mirror survived a wall move across its rays")
+	}
 	rev := m.RxPowerDBm(r[1], r[0])
 	if math.Abs(fwd-rev) > 1e-9 {
 		t.Errorf("orientations disagree after MoveWall: fwd %v, rev %v dBm", fwd, rev)
@@ -130,11 +137,14 @@ func TestReversedChannelCacheCoherence(t *testing.T) {
 	}
 
 	// Structural edit drops everything, mirror included.
-	m.channel(r[1], r[0])
 	room.AddWall(geom.V(-5, 50), geom.V(5, 50), "glass")
 	m.syncRoom()
-	if len(m.revPaths) != 0 {
-		t.Errorf("structural edit left %d reverse entries", len(m.revPaths))
+	if m.cachedPairs() != 0 {
+		t.Error("structural edit left the pair cached")
+	}
+	m.RxPowerDBm(r[0], r[1])
+	if e.revBuilt {
+		t.Error("mirror survived a structural edit")
 	}
 }
 
@@ -184,19 +194,20 @@ func TestSchedulerSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// A reverse-direction channel read on a warm cache must not allocate:
+// Channel reads on a warm cache must not allocate in either direction:
 // the mirrored orientation is materialized once and reused.
 func TestChannelReverseHitZeroAlloc(t *testing.T) {
 	room := geom.Open()
 	room.AddWall(geom.V(-3, 2), geom.V(8, 2), "metal")
 	m, r := testMedium(room, 2)
 	r[0].Pos, r[1].Pos = geom.V(0, 0), geom.V(5, 0.7)
-	m.channel(r[1], r[0]) // prime both orientations
+	m.RxPowerDBm(r[0], r[1]) // prime both orientations
+	m.RxPowerDBm(r[1], r[0])
 
 	if avg := testing.AllocsPerRun(1000, func() {
-		m.channel(r[1], r[0])
+		m.RxPowerDBm(r[0], r[1])
 	}); avg != 0 {
-		t.Errorf("reverse channel hit allocates %.1f/op, want 0", avg)
+		t.Errorf("forward RxPowerDBm allocates %.1f/op, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(1000, func() {
 		m.RxPowerDBm(r[1], r[0])
@@ -256,16 +267,21 @@ func BenchmarkSchedulerCancel(b *testing.B) {
 	}
 }
 
+// reverseHitSink keeps BenchmarkChannelReverseHit's result live.
+var reverseHitSink *rf.RayBundle
+
+// BenchmarkChannelReverseHit measures the reverse-orientation cache hit:
+// the pair lookup plus the mirrored bundle read for r[1]→r[0].
 func BenchmarkChannelReverseHit(b *testing.B) {
 	room := geom.Open()
 	room.AddWall(geom.V(-3, 2), geom.V(8, 2), "metal")
 	m, r := testMedium(room, 2)
 	r[0].Pos, r[1].Pos = geom.V(0, 0), geom.V(5, 0.7)
-	m.channel(r[1], r[0])
+	m.RxPowerDBm(r[1], r[0])
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.channel(r[1], r[0])
+		reverseHitSink, _ = m.oriented(m.pair(r[1], r[0]), r[1], r[0])
 	}
 }
 

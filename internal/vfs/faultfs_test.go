@@ -141,9 +141,36 @@ func TestParseFaultSpec(t *testing.T) {
 	if s, err := ParseFaultSpec(""); err != nil || s.Enabled() {
 		t.Fatalf("empty spec: %+v, %v", s, err)
 	}
-	for _, bad := range []string{"nope=1", "torn=1.5", "seed", "enospc=x"} {
+	for _, bad := range []string{"nope=1", "torn=1.5", "seed", "enospc=x",
+		"torn=NaN", "short=nan", "dropsync=-Inf", "eioread=Inf", "enospc=-5"} {
 		if _, err := ParseFaultSpec(bad); err == nil {
 			t.Errorf("ParseFaultSpec(%q) accepted", bad)
 		}
 	}
+}
+
+// FuzzParseFaultSpec: arbitrary flag values must never panic the parser,
+// and every spec it accepts must round-trip through String — the form
+// mmsim echoes back — to the identical spec.
+func FuzzParseFaultSpec(f *testing.F) {
+	for _, s := range []string{
+		"", "seed=9,enospc=4096,torn=0.25,short=0.1,dropsync=0.05,eioread=0.01",
+		"torn=NaN", "enospc=-5", "seed=18446744073709551615", "eioread=0x1p-3",
+		"dropsync=1e-300,torn=-0", "seed=1,seed=2", " torn=1 , short=0 ",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		spec, err := ParseFaultSpec(s)
+		if err != nil {
+			return
+		}
+		rt, err := ParseFaultSpec(spec.String())
+		if err != nil {
+			t.Fatalf("ParseFaultSpec(%q) accepted, but its String %q is refused: %v", s, spec.String(), err)
+		}
+		if rt != spec {
+			t.Fatalf("ParseFaultSpec(%q) = %+v, round-trips through %q to %+v", s, spec, spec.String(), rt)
+		}
+	})
 }
