@@ -98,7 +98,7 @@ func AblationCarrierSense(o Options) core.Result {
 			"match the beam geometry — directional sensing alone cannot protect what it cannot hear",
 	}
 	run := func(withWiHD, sense bool) (timeouts int, tput float64, ok bool) {
-		sc := core.NewScenario(geom.Open(), o.Seed)
+		sc := o.scenario(geom.Open(), o.Seed)
 		l := sc.AddWiGigLink(
 			wigig.Config{Name: "dock", Pos: geom.V(0, 0), BoresightDeg: 90, Seed: o.Seed + 1},
 			wigig.Config{Name: "laptop", Pos: geom.V(0, 6), BoresightDeg: -90, Seed: o.Seed + 2},
@@ -167,7 +167,7 @@ func AblationAggregation(o Options) core.Result {
 		PaperClaim: "Fig. 1 primer / §5: aggregation reduces medium usage at equal throughput, freeing channel time",
 	}
 	run := func(maxAgg time.Duration) (busy float64, tput float64, ok bool) {
-		sc := core.NewScenario(geom.Open(), o.Seed)
+		sc := o.scenario(geom.Open(), o.Seed)
 		l := sc.AddWiGigLink(
 			wigig.Config{Name: "dock", Pos: geom.V(0, 0), Seed: o.Seed + 1},
 			wigig.Config{Name: "sta", Pos: geom.V(2, 0), Seed: o.Seed + 2},
@@ -309,7 +309,7 @@ func AblationPowerControl(o Options) core.Result {
 		PaperClaim: "§5: devices may need to adjust transmit power to control interference even in quasi-static homes",
 	}
 	run := func(txPower float64) (victimTO int, aggTput float64, vicRate float64, ok bool) {
-		sc := core.NewScenario(geom.Open(), o.Seed)
+		sc := o.scenario(geom.Open(), o.Seed)
 		sc.Med.Budget.AtmosphericSigmaDB = 0
 		// The aggressor: a short, strong link that does not need full
 		// power.

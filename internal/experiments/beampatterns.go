@@ -94,7 +94,7 @@ func Fig16(o Options) core.Result {
 		Title:      "Quasi-omni discovery patterns (Fig. 16)",
 		PaperClaim: "32 patterns; HPBW up to ≈60°; several deep gaps each; comparable focus and power",
 	}
-	sc := core.NewScenario(geom.Open(), o.Seed)
+	sc := o.scenario(geom.Open(), o.Seed)
 	sc.Med.FadingSigmaDB = 0.3
 	dock := wigig.NewDevice(sc.Med, wigig.Config{Name: "dock", Role: wigig.Dock, Pos: geom.V(0, 0), Seed: o.Seed})
 	dock.Start()
@@ -149,7 +149,7 @@ func Fig16(o Options) core.Result {
 // link on the semicircle rig, keeping traffic flowing so the DUT uses
 // its trained data-transmission sector.
 func fig17Sweep(o Options, rotateDockDeg float64, aroundDock bool) (sniffer.AngularProfile, *wigig.Link, bool) {
-	sc := core.NewScenario(geom.Open(), o.Seed)
+	sc := o.scenario(geom.Open(), o.Seed)
 	sc.Med.FadingSigmaDB = 0.3
 	dockBore := geom.Deg(geom.V(1, 0).Angle()) // facing the station at +X
 	if rotateDockDeg != 0 {
@@ -210,7 +210,7 @@ func Fig17(o Options) core.Result {
 	// The paper's Fig. 17 left panel: the notebook's transmit pattern,
 	// measured the same way around the laptop (the sniffer hears the
 	// laptop's TCP-ACK/data frames).
-	laptop, _, ok := fig17Sweep(Options{Seed: o.Seed + 31, Quick: o.Quick}, 0, false)
+	laptop, _, ok := fig17Sweep(o.companion(o.Seed+31), 0, false)
 	if !ok {
 		res.AddCheck("laptop sweep association", "associates", "failed", false)
 		return res
@@ -223,7 +223,7 @@ func Fig17(o Options) core.Result {
 	res.CheckRange("laptop HPBW", lm.HPBWDeg, 5, 20, "deg")
 	res.CheckRange("laptop peak side lobe", lm.PeakSideDB, -26, -3, "dB")
 
-	rotated, rl, ok := fig17Sweep(Options{Seed: o.Seed + 50, Quick: o.Quick}, 70, true)
+	rotated, rl, ok := fig17Sweep(o.companion(o.Seed+50), 70, true)
 	if !ok {
 		res.AddCheck("rotated association", "associates", "failed", false)
 		return res

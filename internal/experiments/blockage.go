@@ -39,7 +39,7 @@ func BlockageTransient(o Options) core.Result {
 		room.AddObstacle(geom.V(1.5, -3), geom.V(1.5, -2.5), "human")
 		walker := len(room.Walls) - 1
 
-		sc := core.NewScenario(room, o.Seed)
+		sc := o.scenario(room, o.Seed)
 		sc.Med.Budget.AtmosphericSigmaDB = 0
 		l := sc.AddWiGigLink(
 			wigig.Config{Name: "dock", Pos: geom.V(0, 0), Seed: o.Seed + 1},

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"errors"
-	"sync"
 	"time"
 
 	"repro/internal/audit"
@@ -44,11 +43,12 @@ type Status struct {
 type Campaign struct {
 	// Parallel bounds concurrently running experiments (min 1).
 	Parallel int
-	// Deadline is the per-experiment wall-clock budget. It is enforced
-	// by the simulation schedulers themselves (sim.SetDefaultWallBudget):
-	// a driver that overruns aborts at its next event boundary with a
-	// *sim.DeadlineError and is reported as a structured failure. Zero
-	// disables the watchdog.
+	// Deadline is the per-experiment wall-clock budget: one clock per
+	// experiment, started at its launch and shared by every scheduler
+	// the driver builds, so a sweep of K points gets the budget once,
+	// not K times. The schedulers enforce it themselves: a driver that
+	// overruns aborts at an event boundary with a *sim.DeadlineError and
+	// is reported as a structured failure. Zero disables the watchdog.
 	Deadline time.Duration
 	// Checkpoint, when non-nil, records every finished experiment and
 	// skips the ones already on record (resume).
@@ -65,56 +65,6 @@ type Campaign struct {
 	Stop func() bool
 }
 
-// campaignBudget reference-counts the process-global default wall
-// budget (sim.SetDefaultWallBudget) so concurrent RunCampaign calls —
-// the daemon runs one per in-flight job — do not stomp each other's
-// watchdogs on exit. While any deadline-bearing campaign is active the
-// tightest active deadline is in force; the pre-existing default is
-// restored only when the last one leaves.
-var campaignBudget struct {
-	mu     sync.Mutex
-	active []time.Duration
-	prev   time.Duration
-}
-
-func pushCampaignBudget(d time.Duration) {
-	b := &campaignBudget
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if len(b.active) == 0 {
-		b.prev = sim.SetDefaultWallBudget(d)
-	}
-	b.active = append(b.active, d)
-	sim.SetDefaultWallBudget(minBudget(b.active))
-}
-
-func popCampaignBudget(d time.Duration) {
-	b := &campaignBudget
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for i, v := range b.active {
-		if v == d {
-			b.active = append(b.active[:i], b.active[i+1:]...)
-			break
-		}
-	}
-	if len(b.active) == 0 {
-		sim.SetDefaultWallBudget(b.prev)
-		return
-	}
-	sim.SetDefaultWallBudget(minBudget(b.active))
-}
-
-func minBudget(ds []time.Duration) time.Duration {
-	min := ds[0]
-	for _, d := range ds[1:] {
-		if d < min {
-			min = d
-		}
-	}
-	return min
-}
-
 // RunCampaign executes the runners with bounded parallelism and full
 // failure isolation: one experiment panicking, exceeding the deadline,
 // or being killed by a bug never prevents the others from completing.
@@ -128,10 +78,6 @@ func minBudget(ds []time.Duration) time.Duration {
 func RunCampaign(runners []Runner, opts Options, c Campaign) int {
 	if c.Parallel < 1 {
 		c.Parallel = 1
-	}
-	if c.Deadline > 0 {
-		pushCampaignBudget(c.Deadline)
-		defer popCampaignBudget(c.Deadline)
 	}
 
 	statuses := make([]chan Status, len(runners))
@@ -192,10 +138,12 @@ func SkipResult(r Runner) core.Result {
 	return res
 }
 
-// runOne executes a single driver under panic isolation.
+// runOne executes a single driver under panic isolation, with the
+// experiment's wall clock started at its launch.
 func runOne(r Runner, opts Options, deadline time.Duration) Status {
 	var res core.Result
 	start := time.Now()
+	opts.wallStart, opts.wallBudget = start, deadline
 	pe := par.Guarded(0, 0, func(int) error {
 		res = r.Run(opts)
 		return nil

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/geom"
 	"repro/internal/recio"
 	"repro/internal/sim"
 )
@@ -406,12 +407,8 @@ func TestCampaignIsolatesCrashesAndDeadlines(t *testing.T) {
 	runners := []Runner{
 		{ID: "Z1", Title: "panics", Run: func(Options) core.Result { panic("driver bug") }},
 		good,
-		{ID: "Z2", Title: "wedges", Run: func(Options) core.Result {
-			s := sim.NewScheduler() // inherits the campaign deadline
-			var tick func()
-			tick = func() { s.After(time.Nanosecond, tick) }
-			s.After(0, tick)
-			s.Run(time.Hour)
+		{ID: "Z2", Title: "wedges", Run: func(o Options) core.Result {
+			burnEvents(o.scenario(geom.Open(), 1), time.Hour) // armed with the campaign deadline
 			return core.Result{ID: "Z2"}
 		}},
 	}

@@ -32,7 +32,7 @@ func AblationChannelSeparation(o Options) core.Result {
 			"(62.64 GHz) would isolate them — and a geometric predictor finds that plan",
 	}
 	run := func(wihdChannel int) (timeouts int, ok bool) {
-		sc := core.NewScenario(geom.Open(), o.Seed)
+		sc := o.scenario(geom.Open(), o.Seed)
 		l := sc.AddWiGigLink(
 			wigig.Config{Name: "dock", Pos: geom.V(0, 0), BoresightDeg: 90, Seed: o.Seed + 1},
 			wigig.Config{Name: "laptop", Pos: geom.V(0, 6), BoresightDeg: -90, Seed: o.Seed + 2},

@@ -41,7 +41,7 @@ func DenseDeployment(o Options) core.Result {
 	}
 
 	run := func(n int, channels []int) (aggBps float64, timeouts int, ok bool) {
-		sc := core.NewScenario(geom.Open(), o.Seed)
+		sc := o.scenario(geom.Open(), o.Seed)
 		sc.Med.Budget.AtmosphericSigmaDB = 0
 		links := make([]*wigig.Link, n)
 		// Bring the links up one at a time — simultaneous discovery

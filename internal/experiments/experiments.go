@@ -9,8 +9,10 @@ package experiments
 import (
 	"fmt"
 	"sort"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/geom"
 	"repro/internal/vfs"
 )
 
@@ -33,6 +35,30 @@ type Options struct {
 	// cleared before Options crosses a process boundary (the shard
 	// protocol gob-encodes Options and cannot carry a live filesystem).
 	DiskFS vfs.FS `json:"-"`
+
+	// wallStart and wallBudget are the experiment's wall-clock watchdog:
+	// RunCampaign stamps the experiment's launch and Campaign.Deadline
+	// here, and every scheduler the driver builds through scenario
+	// shares them, so one budget bounds all of the experiment's sweep
+	// points together. Being unexported, they are not gob- or
+	// JSON-encoded and not part of the checkpoint fingerprint.
+	wallStart  time.Time
+	wallBudget time.Duration
+}
+
+// scenario builds a driver's scenario with its scheduler armed against
+// the experiment's wall-clock budget. Drivers build every scenario
+// through it (TestDriversBuildScenariosThroughOptions).
+func (o Options) scenario(room *geom.Room, seed uint64) *core.Scenario {
+	sc := core.NewScenario(room, seed)
+	sc.Sched.SetWallBudget(o.wallStart, o.wallBudget)
+	return sc
+}
+
+// companion returns the options of an auxiliary run inside the same
+// experiment: its own seed, no capture, and the experiment's wall clock.
+func (o Options) companion(seed uint64) Options {
+	return Options{Seed: seed, Quick: o.Quick, wallStart: o.wallStart, wallBudget: o.wallBudget}
 }
 
 // fs returns the effective filesystem: DiskFS, or the real OS.

@@ -31,7 +31,7 @@ func Fig3(o Options) core.Result {
 		Title:      "Device discovery frame structure (Fig. 3)",
 		PaperClaim: "32 constant-amplitude sub-elements, one antenna configuration each, ≈0.7 ms total",
 	}
-	sc := core.NewScenario(geom.Open(), o.Seed)
+	sc := o.scenario(geom.Open(), o.Seed)
 	dock := wigig.NewDevice(sc.Med, wigig.Config{Name: "dock", Role: wigig.Dock, Pos: geom.V(0, 0), Seed: o.Seed})
 	dock.Start()
 	sn := sc.AddSniffer("vubiq", geom.V(1.5, 0), antenna.OpenWaveguide(), math.Pi)
@@ -92,7 +92,7 @@ func Fig8(o Options) core.Result {
 		Title:      "D5000 frame flow (Fig. 8)",
 		PaperClaim: "bursts ≤2 ms starting with two control frames, then data/ACK series; beacons in between",
 	}
-	sc := core.NewScenario(geom.Open(), o.Seed)
+	sc := o.scenario(geom.Open(), o.Seed)
 	l := sc.AddWiGigLink(
 		wigig.Config{Name: "dock", Pos: geom.V(0, 0), Seed: o.Seed},
 		wigig.Config{Name: "sta", Pos: geom.V(2, 0), Seed: o.Seed + 1},
@@ -239,7 +239,7 @@ func Fig15(o Options) core.Result {
 		Title:      "WiHD frame flow (Fig. 15)",
 		PaperClaim: "beacons every 0.224 ms; variable-length data frames; idle periods carry only beacons",
 	}
-	sc := core.NewScenario(geom.Open(), o.Seed)
+	sc := o.scenario(geom.Open(), o.Seed)
 	sys := sc.AddWiHD(
 		wihd.Config{Name: "hdmi-tx", Pos: geom.V(0, 0), Seed: o.Seed},
 		wihd.Config{Name: "hdmi-rx", Pos: geom.V(8, 0), Seed: o.Seed + 1},

@@ -38,7 +38,7 @@ type fig6Scenario struct {
 }
 
 func buildFig6(o Options, d float64, rotated, withWiHD, withWiGig bool) (*fig6Scenario, error) {
-	sc := core.NewScenario(geom.Open(), o.Seed+uint64(d*1000))
+	sc := o.scenario(geom.Open(), o.Seed+uint64(d*1000))
 	f := &fig6Scenario{sc: sc, withWiHD: withWiHD}
 	dockBBore := 90.0
 	if rotated {
@@ -297,7 +297,7 @@ func Fig23(o Options) core.Result {
 	room := geom.Open()
 	room.AddWall(geom.V(-0.5, 2), geom.V(5.5, 2), "metal")
 	room.AddObstacle(geom.V(0.8, 0), geom.V(0.8, 0.6), "absorber")
-	sc := core.NewScenario(room, o.Seed)
+	sc := o.scenario(room, o.Seed)
 
 	l := sc.AddWiGigLink(
 		wigig.Config{Name: "dock", Pos: geom.V(4.4, 0.2), Seed: o.Seed + 1},

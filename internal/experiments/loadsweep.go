@@ -57,7 +57,7 @@ func runLoadSweep(o Options, loads []float64) []loadPoint {
 	// load order regardless of completion order.
 	slots := par.Map(len(loads), func(i int) *loadPoint {
 		load := loads[i]
-		sc := core.NewScenario(geom.Open(), o.Seed+uint64(i)*7)
+		sc := o.scenario(geom.Open(), o.Seed+uint64(i)*7)
 		l := sc.AddWiGigLink(
 			wigig.Config{Name: "dock", Pos: geom.V(0, 0), Seed: o.Seed + uint64(i)*7},
 			wigig.Config{Name: "sta", Pos: geom.V(2, 0), Seed: o.Seed + uint64(i)*7 + 1},

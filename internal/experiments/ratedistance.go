@@ -46,7 +46,7 @@ func Fig12(o Options) core.Result {
 	}
 	traces := par.Map(len(distances), func(i int) distTrace {
 		d := distances[i]
-		sc := core.NewScenario(geom.Open(), o.Seed+uint64(i)*13)
+		sc := o.scenario(geom.Open(), o.Seed+uint64(i)*13)
 		sc.Med.Budget.AtmosphericSigmaDB = 0
 		l := sc.AddWiGigLink(
 			wigig.Config{Name: "dock", Pos: geom.V(0, 0), Seed: o.Seed + uint64(i)*13},
@@ -134,7 +134,7 @@ func Fig13(o Options) core.Result {
 	par.Sweep(runs*len(distances), func(k int) {
 		r, di := k/len(distances), k%len(distances)
 		d := distances[di]
-		sc := core.NewScenario(geom.Open(), o.Seed+uint64(r)*101+uint64(di))
+		sc := o.scenario(geom.Open(), o.Seed+uint64(r)*101+uint64(di))
 		sc.Med.ExtraLossDB = dayOffsets[r]
 		l := sc.AddWiGigLink(
 			wigig.Config{Name: "dock", Pos: geom.V(0, 0), Seed: o.Seed + uint64(r*100+di)},
@@ -230,7 +230,7 @@ func Fig14(o Options) core.Result {
 	if o.Quick {
 		dur = 60 * time.Second
 	}
-	sc := core.NewScenario(geom.Open(), o.Seed)
+	sc := o.scenario(geom.Open(), o.Seed)
 	sc.Med.Budget.AtmosphericSigmaDB = 0
 	l := sc.AddWiGigLink(
 		wigig.Config{Name: "dock", Pos: geom.V(0, 0), Seed: o.Seed},

@@ -55,7 +55,7 @@ func BlockageRecovery(o Options) core.Result {
 
 	par.Sweep(len(durs), func(i int) {
 		sub := base.ForkAt(uint64(i))
-		sc := core.NewScenario(geom.Open(), o.Seed+uint64(i)*101)
+		sc := o.scenario(geom.Open(), o.Seed+uint64(i)*101)
 		sc.Med.Budget.AtmosphericSigmaDB = 0
 		l := sc.AddWiGigLink(
 			wigig.Config{Name: "dock", Pos: geom.V(0, 0), Seed: o.Seed + 1},
@@ -103,7 +103,7 @@ func BlockageRecovery(o Options) core.Result {
 	// in-place re-training, never a link break.
 	var shallowRealigns, shallowBreaks int
 	shallowOK := func() bool {
-		sc := core.NewScenario(geom.Open(), o.Seed+7777)
+		sc := o.scenario(geom.Open(), o.Seed+7777)
 		sc.Med.Budget.AtmosphericSigmaDB = 0
 		l := sc.AddWiGigLink(
 			wigig.Config{Name: "dock", Pos: geom.V(0, 0), Seed: o.Seed + 1},

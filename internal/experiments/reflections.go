@@ -48,7 +48,7 @@ func reflectionProfiles(o Options, useWiHD bool) (map[string]sniffer.AngularProf
 	}
 	res := core.Result{ID: id, Title: fmt.Sprintf("Reflections for %s (Figs. 18/19)", title)}
 	room := geom.ConferenceRoom()
-	sc := core.NewScenario(room, o.Seed)
+	sc := o.scenario(room, o.Seed)
 	sc.Med.FadingSigmaDB = 0.3
 
 	if useWiHD {
@@ -168,7 +168,7 @@ func Fig19(o Options) core.Result {
 	par.Do(
 		func() { profiles, res, ok = reflectionProfiles(o, true) },
 		func() {
-			d5000Profiles, _, ok2 = reflectionProfiles(Options{Seed: o.Seed, Quick: o.Quick}, false)
+			d5000Profiles, _, ok2 = reflectionProfiles(o.companion(o.Seed), false)
 		},
 	)
 	res.PaperClaim = "WiHD profiles show more and larger lobes than the D5000's (less directional TX)"
@@ -277,7 +277,7 @@ func Fig20(o Options) core.Result {
 			room := geom.Open()
 			room.AddWall(geom.V(-2, 0), geom.V(6, 0), "glass") // the reflecting wall (a window front)
 			room.AddObstacle(geom.V(1.25, 0.6), geom.V(1.25, 1.6), "absorber")
-			sc := core.NewScenario(room, o.Seed)
+			sc := o.scenario(room, o.Seed)
 			l := sc.AddWiGigLink(
 				wigig.Config{Name: "dock", Pos: dockPos, Seed: o.Seed},
 				wigig.Config{Name: "sta", Pos: laptopPos, Seed: o.Seed + 1},
@@ -300,7 +300,7 @@ func Fig20(o Options) core.Result {
 		},
 		func() {
 			// LOS baseline for the >50% comparison.
-			base := core.NewScenario(geom.Open(), o.Seed+9)
+			base := o.scenario(geom.Open(), o.Seed+9)
 			bl := base.AddWiGigLink(
 				wigig.Config{Name: "dock", Pos: dockPos, Seed: o.Seed + 9},
 				wigig.Config{Name: "sta", Pos: laptopPos, Seed: o.Seed + 10},

@@ -39,7 +39,7 @@ func Table1(o Options) core.Result {
 
 	// --- D5000 discovery: a lone, unassociated dock. ---
 	{
-		sc := core.NewScenario(geom.Open(), o.Seed)
+		sc := o.scenario(geom.Open(), o.Seed)
 		dock := wigig.NewDevice(sc.Med, wigig.Config{Name: "dock", Role: wigig.Dock, Pos: geom.V(0, 0), Seed: o.Seed})
 		dock.Start()
 		sn := sc.AddSniffer("vubiq", geom.V(1.5, 0), antenna.OpenWaveguide(), math.Pi)
@@ -50,7 +50,7 @@ func Table1(o Options) core.Result {
 
 	// --- D5000 beacon: an associated, idle link. ---
 	{
-		sc := core.NewScenario(geom.Open(), o.Seed+1)
+		sc := o.scenario(geom.Open(), o.Seed+1)
 		l := sc.AddWiGigLink(
 			wigig.Config{Name: "dock", Pos: geom.V(0, 0), Seed: o.Seed + 1},
 			wigig.Config{Name: "sta", Pos: geom.V(2, 0), Seed: o.Seed + 2},
@@ -71,7 +71,7 @@ func Table1(o Options) core.Result {
 
 	// --- WiHD discovery: a lone, unpaired transmitter. ---
 	{
-		sc := core.NewScenario(geom.Open(), o.Seed+3)
+		sc := o.scenario(geom.Open(), o.Seed+3)
 		tx := wihd.NewDevice(sc.Med, wihd.Config{Name: "hdmi-tx", Role: wihd.TX, Pos: geom.V(0, 0), Seed: o.Seed + 3})
 		tx.Start()
 		sn := sc.AddSniffer("vubiq", geom.V(1.5, 0), antenna.OpenWaveguide(), math.Pi)
@@ -82,7 +82,7 @@ func Table1(o Options) core.Result {
 
 	// --- WiHD beacon: a paired link (receiver beacons). ---
 	{
-		sc := core.NewScenario(geom.Open(), o.Seed+4)
+		sc := o.scenario(geom.Open(), o.Seed+4)
 		sys := sc.AddWiHD(
 			wihd.Config{Name: "hdmi-tx", Pos: geom.V(0, 0), Seed: o.Seed + 4},
 			wihd.Config{Name: "hdmi-rx", Pos: geom.V(8, 0), Seed: o.Seed + 5},

@@ -37,8 +37,10 @@ type Config struct {
 	// experiments.RunCampaign (min 1).
 	JobParallel int
 	// Deadline is the per-experiment wall-clock watchdog applied to
-	// every job (experiments.Campaign.Deadline); zero disables it.
-	// Whole-job budgets come from JobSpec.Deadline instead.
+	// every job (experiments.Campaign.Deadline): one clock per
+	// experiment, started at its launch and shared by all of its sweep
+	// points, and private to its job. Zero disables it. Whole-job
+	// budgets come from JobSpec.Deadline instead.
 	Deadline time.Duration
 	// RetryAfter is the hint returned with 429 rejections.
 	RetryAfter time.Duration

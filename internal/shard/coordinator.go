@@ -69,8 +69,10 @@ type Config struct {
 	HeartbeatTimeout time.Duration
 	// ProgressTimeout classifies a worker that heartbeats but makes no
 	// experiment progress as hung. Zero disables the check unless
-	// Deadline is set, in which case it defaults to Deadline + 30s — a
-	// healthy worker's watchdog aborts any experiment before that.
+	// Deadline is set, in which case it defaults to Deadline + 30s: the
+	// watchdog clock starts at an experiment's launch and covers all of
+	// its sweep points, so a healthy worker aborts any experiment well
+	// before that.
 	ProgressTimeout time.Duration
 	// RetryBase / RetryMax bound the retry backoff.
 	RetryBase time.Duration

@@ -9,7 +9,6 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/audit"
@@ -133,32 +132,15 @@ var ErrDeadline = errors.New("sim: wall-clock deadline exceeded")
 // Unwrap makes errors.Is(err, ErrDeadline) hold through wrapping.
 func (e *DeadlineError) Unwrap() error { return ErrDeadline }
 
-// defaultWallBudget is the process-wide budget newly created schedulers
-// inherit (nanoseconds; 0 = unlimited). The campaign runner sets it from
-// the -deadline flag so every scheduler of every experiment — including
-// the ones sweep points create deep inside drivers — is watched without
-// plumbing a context through every call site.
-var defaultWallBudget atomic.Int64
-
-// SetDefaultWallBudget installs the wall-clock budget inherited by every
-// scheduler created afterwards and returns the previous value. Zero
-// disables the watchdog for new schedulers.
-func SetDefaultWallBudget(d time.Duration) time.Duration {
-	return time.Duration(defaultWallBudget.Swap(int64(d)))
-}
-
 // DefaultWatchdogEvery spaces the wall-clock checks: one time.Now() per
 // this many events keeps the watchdog far off the hot path (an event
 // dispatch costs well under a microsecond; 4096 events bound the
-// detection latency to a few milliseconds of simulation work).
-// Audit-heavy runs can tighten the cadence per scheduler with
-// SetWatchdogEvery — the heap-consistency audit shares it.
+// detection latency to a few milliseconds of simulation work). The
+// heap-consistency audit runs on the same cadence.
 const DefaultWatchdogEvery = 4096
 
 // Scheduler is a single-threaded discrete-event executor. All simulation
 // code runs on the scheduler goroutine; the models need no locking.
-// Interrupt is the one exception: any goroutine may trip it to make Run
-// return cleanly at the next event boundary.
 type Scheduler struct {
 	now     Time
 	seq     uint64
@@ -166,55 +148,21 @@ type Scheduler struct {
 	free    []*timerEvent // recycled event records (fired or canceled)
 	stopped bool
 
-	wallBudget  time.Duration
-	wallStart   time.Time // zero until the first watched Run
-	eventsRun   uint64
-	checkEvery  uint64
-	interrupted atomic.Bool
+	wallStart  time.Time
+	wallBudget time.Duration // 0 = unwatched
+	eventsRun  uint64
 }
 
-// NewScheduler returns a scheduler at time zero, inheriting the process
-// default wall-clock budget (SetDefaultWallBudget) and the default
-// watchdog cadence.
-func NewScheduler() *Scheduler {
-	return &Scheduler{
-		wallBudget: time.Duration(defaultWallBudget.Load()),
-		checkEvery: DefaultWatchdogEvery,
-	}
+// NewScheduler returns an unwatched scheduler at time zero.
+func NewScheduler() *Scheduler { return &Scheduler{} }
+
+// SetWallBudget arms the wall-clock watchdog: once more than d of wall
+// time has passed since start, Run panics with *DeadlineError. The
+// caller owns the clock, so every scheduler of one experiment can share
+// one start and one budget. Zero d disables the watchdog.
+func (s *Scheduler) SetWallBudget(start time.Time, d time.Duration) {
+	s.wallStart, s.wallBudget = start, d
 }
-
-// SetWallBudget overrides this scheduler's wall-clock budget. The clock
-// starts at the first Run call after the budget is set; zero disables
-// the watchdog.
-func (s *Scheduler) SetWallBudget(d time.Duration) {
-	s.wallBudget = d
-	s.wallStart = time.Time{}
-}
-
-// SetWatchdogEvery sets how many events pass between wall-clock deadline
-// checks (and, when auditing is on, heap-consistency sweeps). Values
-// below one restore DefaultWatchdogEvery. Tighter cadences bound
-// deadline-detection latency at the cost of more time.Now() calls.
-func (s *Scheduler) SetWatchdogEvery(n int) {
-	if n < 1 {
-		s.checkEvery = DefaultWatchdogEvery
-		return
-	}
-	s.checkEvery = uint64(n)
-}
-
-// WatchdogEvery returns the active check cadence.
-func (s *Scheduler) WatchdogEvery() int { return int(s.checkEvery) }
-
-// Interrupt makes Run return cleanly at the next event boundary. It is
-// the only Scheduler method safe to call from another goroutine —
-// campaign watchdogs use it to cancel a wedged experiment without
-// killing the process.
-func (s *Scheduler) Interrupt() { s.interrupted.Store(true) }
-
-// Interrupted reports whether Interrupt has been called. Run refuses to
-// execute further events once tripped.
-func (s *Scheduler) Interrupted() bool { return s.interrupted.Load() }
 
 // Now returns the current simulation time.
 func (s *Scheduler) Now() Time { return s.now }
@@ -262,20 +210,16 @@ func (s *Scheduler) Stop() { s.stopped = true }
 func (s *Scheduler) Pending() int { return s.events.Len() }
 
 // Run executes events in time order until the queue is empty, the
-// horizon is passed, Stop or Interrupt is called, or the wall-clock
-// budget expires (which panics with *DeadlineError — recovered by the
-// experiment guard). It returns the simulation time at exit; the clock
-// is advanced to the horizon even if the queue drained earlier, so
-// back-to-back Run calls see a contiguous timeline.
+// horizon is passed, Stop is called, or the wall-clock budget expires
+// (which panics with *DeadlineError — recovered by the experiment
+// guard). The budget is checked on entry and every DefaultWatchdogEvery
+// events. It returns the simulation time at exit; the clock is advanced
+// to the horizon even if the queue drained earlier, so back-to-back Run
+// calls see a contiguous timeline.
 func (s *Scheduler) Run(until Time) Time {
 	s.stopped = false
-	if s.wallBudget > 0 && s.wallStart.IsZero() {
-		s.wallStart = time.Now()
-	}
+	s.checkWall(s.now)
 	for s.events.Len() > 0 && !s.stopped {
-		if s.interrupted.Load() {
-			return s.now
-		}
 		next := s.events[0]
 		if next.at > until {
 			break
@@ -288,12 +232,8 @@ func (s *Scheduler) Run(until Time) Time {
 		at, fn := next.at, next.fn
 		s.recycle(next)
 		s.eventsRun++
-		if s.eventsRun%s.checkEvery == 0 {
-			if s.wallBudget > 0 {
-				if el := time.Since(s.wallStart); el > s.wallBudget {
-					panic(&DeadlineError{Budget: s.wallBudget, Elapsed: el, SimTime: at})
-				}
-			}
+		if s.eventsRun%DefaultWatchdogEvery == 0 {
+			s.checkWall(at)
 			if audit.On() {
 				s.auditHeap(at)
 			}
@@ -305,10 +245,20 @@ func (s *Scheduler) Run(until Time) Time {
 		s.now = at
 		fn()
 	}
-	if s.now < until && !s.stopped && !s.interrupted.Load() {
+	if s.now < until && !s.stopped {
 		s.now = until
 	}
 	return s.now
+}
+
+// checkWall panics with *DeadlineError once the wall budget is spent.
+func (s *Scheduler) checkWall(at Time) {
+	if s.wallBudget <= 0 {
+		return
+	}
+	if el := time.Since(s.wallStart); el > s.wallBudget {
+		panic(&DeadlineError{Budget: s.wallBudget, Elapsed: el, SimTime: at})
+	}
 }
 
 // auditHeap verifies the event-queue invariants Pending depends on: the

@@ -14,7 +14,7 @@ import (
 // consistent (no half-executed callback).
 func TestWallBudgetTripsDeadline(t *testing.T) {
 	s := NewScheduler()
-	s.SetWallBudget(20 * time.Millisecond)
+	s.SetWallBudget(time.Now(), 20*time.Millisecond)
 	// A self-rescheduling busy event that burns real time: the watchdog
 	// checks every DefaultWatchdogEvery events, so keep them cheap and
 	// numerous.
@@ -59,62 +59,100 @@ func TestZeroBudgetNeverTrips(t *testing.T) {
 	}
 }
 
-// Interrupt from another goroutine must stop Run cleanly at an event
-// boundary and keep the scheduler refusing further work.
-func TestInterruptStopsRunCrossGoroutine(t *testing.T) {
+// Schedulers armed with one start share one wall clock: a second
+// scheduler created after the first has spent most of the budget trips
+// on the time both have used together, not on its own share.
+func TestSharedWallClockAcrossSchedulers(t *testing.T) {
+	const budget = 100 * time.Millisecond
+	start := time.Now()
+	burn := func(s *Scheduler, d time.Duration) {
+		until := time.Now().Add(d)
+		var tick func()
+		tick = func() {
+			if time.Now().Before(until) {
+				s.After(time.Nanosecond, tick)
+			}
+		}
+		s.After(0, tick)
+		s.Run(time.Hour)
+	}
+	armed := func() *Scheduler {
+		s := NewScheduler()
+		s.SetWallBudget(start, budget)
+		return s
+	}
+	burn(armed(), budget/2)
+
+	second := armed()
+	secondStart := time.Now()
+	defer func() {
+		de, ok := recover().(*DeadlineError)
+		if !ok {
+			t.Fatal("second scheduler did not trip on the shared clock")
+		}
+		if de.Elapsed < budget {
+			t.Errorf("Elapsed %v below the %v budget", de.Elapsed, budget)
+		}
+		if own := time.Since(secondStart); own >= budget {
+			t.Errorf("second scheduler ran %v on its own, a full budget: the clock was not shared", own)
+		}
+	}()
+	burn(second, time.Minute)
+	t.Fatal("run completed despite the spent shared budget")
+}
+
+// A scheduler whose budget is already spent refuses to run at all: Run
+// checks the clock on entry, so a sweep point too short to reach the
+// first periodic check cannot outlive its experiment's deadline.
+func TestWallBudgetCheckedOnRunEntry(t *testing.T) {
 	s := NewScheduler()
-	started := make(chan struct{})
+	s.SetWallBudget(time.Now().Add(-time.Second), time.Millisecond)
+	ran := false
+	s.After(0, func() { ran = true })
+	defer func() {
+		de, ok := recover().(*DeadlineError)
+		if !ok {
+			t.Fatal("spent budget did not trip on entry")
+		}
+		if ran || de.SimTime != 0 || de.Elapsed < time.Second {
+			t.Errorf("trip on entry: ran=%v SimTime=%v Elapsed=%v", ran, de.SimTime, de.Elapsed)
+		}
+	}()
+	s.Run(time.Hour)
+	t.Fatal("run completed despite the spent budget")
+}
+
+// Between entry checks the watchdog looks at the clock exactly every
+// DefaultWatchdogEvery events: an overrun during the first event is
+// noticed at event DefaultWatchdogEvery, before that event's callback.
+func TestWatchdogChecksAtConstantCadence(t *testing.T) {
+	const budget = 20 * time.Millisecond
+	s := NewScheduler()
+	s.SetWallBudget(time.Now(), budget)
+	calls := 0
 	var tick func()
-	n := 0
 	tick = func() {
-		n++
-		if n == 1 {
-			close(started)
+		calls++
+		if calls == 1 {
+			time.Sleep(budget + 5*time.Millisecond)
 		}
 		s.After(time.Microsecond, tick)
 	}
 	s.After(0, tick)
-	go func() {
-		<-started
-		s.Interrupt()
-	}()
-	done := make(chan Time, 1)
-	go func() { done <- s.Run(time.Hour) }()
-	select {
-	case at := <-done:
-		if !s.Interrupted() {
-			t.Error("run returned without the interrupted flag")
-		}
-		if at >= time.Hour {
-			t.Errorf("interrupted run advanced to the horizon (%v)", at)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("interrupt did not stop the run")
-	}
-	// A tripped scheduler stays stopped: no further events execute.
-	before := n
-	s.Run(2 * time.Hour)
-	if n != before {
-		t.Errorf("interrupted scheduler executed %d more events", n-before)
-	}
-}
-
-// New schedulers inherit the process default budget at creation time.
-func TestDefaultWallBudgetInheritance(t *testing.T) {
-	prev := SetDefaultWallBudget(15 * time.Millisecond)
-	defer SetDefaultWallBudget(prev)
-	s := NewScheduler()
-	SetDefaultWallBudget(prev) // later changes must not affect s
-	var tick func()
-	tick = func() { s.After(time.Nanosecond, tick) }
-	s.After(0, tick)
 	defer func() {
-		if _, ok := recover().(*DeadlineError); !ok {
-			t.Fatal("inherited budget did not trip")
+		de, ok := recover().(*DeadlineError)
+		if !ok {
+			t.Fatal("watchdog did not trip")
+		}
+		if calls != DefaultWatchdogEvery-1 {
+			t.Errorf("%d callbacks ran before the trip, want %d", calls, DefaultWatchdogEvery-1)
+		}
+		if want := time.Duration(DefaultWatchdogEvery-1) * time.Microsecond; de.SimTime != want {
+			t.Errorf("tripped at sim time %v, want %v", de.SimTime, want)
 		}
 	}()
 	s.Run(time.Hour)
-	t.Fatal("run completed despite the inherited watchdog")
+	t.Fatal("run completed despite the watchdog")
 }
 
 // The delivery filter must suppress only the receive callback: the
