@@ -63,11 +63,10 @@ func TestGridCandidatesAreSuperset(t *testing.T) {
 }
 
 // TestGridIncrementalStaysExact moves walls (including far outside the
-// built bounds, exercising the outside overflow list) through the move
-// log and checks that the incrementally synced grid still honors the
-// superset contract and never returns duplicates. Candidate sets may
-// legitimately differ from a freshly built grid (a rebuild re-fits the
-// bounds), so the check is against ground-truth intersections.
+// bounds the grid was first built with, so the rebuild must re-fit them)
+// one at a time, re-syncing after each move, and checks that the grid
+// still honors the superset contract and never returns duplicates. The
+// check is against ground-truth intersections.
 func TestGridIncrementalStaysExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for round := 0; round < 40; round++ {
@@ -78,7 +77,7 @@ func TestGridIncrementalStaysExact(t *testing.T) {
 			wi := rng.Intn(len(room.Walls))
 			s := randSeg(rng, 20)
 			if rng.Intn(3) == 0 {
-				// Escape the built bounds: exercises the outside list.
+				// Escape the original bounds: the rebuild must re-fit.
 				s = Seg(s.A.Add(V(100, 100)), s.B.Add(V(100, 100)))
 			}
 			room.MoveWall(wi, s)

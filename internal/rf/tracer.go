@@ -15,12 +15,13 @@ import (
 //
 // Queries run through an exact spatial index: leg blockage tests walk a
 // uniform grid (geom.Grid) instead of scanning every wall, and
-// second-order mirror pairs come from a precomputed, epoch-keyed
-// candidate table with per-wall same-side prechecks. The index only ever
-// skips work the brute-force scan provably discards, so the returned
-// path sets are byte-identical to the retained naive reference
-// (naive.go, selected via Naive) — the acceleration is observable only
-// as time.
+// second-order mirror pairs come from a precomputed candidate table with
+// per-wall same-side prechecks, culled one block of walls at a time. The
+// grid and the table are rebuilt whenever the room's epoch changes. The
+// index only ever skips work the brute-force scan provably discards, so
+// the returned path sets are byte-identical to the retained naive
+// reference (naive.go, selected via Naive) — the acceleration is
+// observable only as time.
 type Tracer struct {
 	// Room supplies the reflecting walls and blocking obstacles.
 	Room *geom.Room
@@ -59,14 +60,12 @@ type Tracer struct {
 
 	// cand holds per wall i its second-order mirror candidates j
 	// (ascending), with precomputed side classifications for the
-	// same-side culls. Rows are keyed to the room epoch and updated
-	// incrementally from the move log, so the MoveWall blockage walker
-	// pays O(W) per step instead of an O(W²) rebuild.
+	// same-side culls. The table is keyed to the room epoch and rebuilt
+	// in place (reusing every row's storage) when the epoch changes.
 	cand      [][]pairCand
 	candEpoch uint64
 	candWalls int
 	candValid bool
-	candMoves []geom.WallMove
 
 	// blocks partitions the wall array into index ranges of wallsPerBlock
 	// and stores each range's bounding box. Generated floors emit walls
@@ -75,10 +74,9 @@ type Tracer struct {
 	// outside a row's same-side halfplane or mirror cone. rowStart[i][b]
 	// is the offset of block b's entries within cand[i] (rows are sorted
 	// by j, so blocks are contiguous runs).
-	blocks      []wallBlock
-	superBlocks []wallBlock
-	rowStart    [][]int32
-	rowSlab     []int32
+	blocks   []wallBlock
+	rowStart [][]int32
+	rowSlab  []int32
 
 	// Per-query scratch, sized to the wall count by syncGeometry.
 	// txCross/rxCross hold the SameSide cross products of the endpoints
@@ -94,9 +92,8 @@ type Tracer struct {
 	legIdx []int32
 	legHit []int32
 	// ptsScratch stages a path's points before the loss cutoff decides
-	// whether they are materialized; ptsFree pools released point slabs.
+	// whether they are materialized.
 	ptsScratch [maxTracePoints]geom.Vec2
-	ptsFree    [][]geom.Vec2
 
 	// PairAffected scratch.
 	paSegs     []geom.Segment
@@ -134,12 +131,7 @@ type wallBlock struct {
 // wallsPerBlock is the block granularity. Smaller blocks cull more
 // precisely but cost more box tests per row; a room's worth of walls
 // keeps the boxes spatially tight on the generated office floors.
-// Superblocks of blocksPerSuper blocks form a second level so a row can
-// discard whole regions before testing individual blocks.
-const (
-	wallsPerBlock  = 4
-	blocksPerSuper = 4
-)
+const wallsPerBlock = 4
 
 // sideMargin is the relative margin of the candidate table's side
 // classification. Cross products within margin·|d|·|reach| of zero are
@@ -227,7 +219,7 @@ const blockEps = 1e-9
 
 // syncGeometry reconciles the spatial index (grid, candidate table, and
 // the per-wall scratch slices) with the room. Static rooms pay integer
-// compares; MoveWall edits apply incrementally via the move log.
+// compares; any edit rebuilds the grid and the table in place.
 func (t *Tracer) syncGeometry() {
 	t.grid.Sync(t.Room)
 	t.syncCandidates()
@@ -253,28 +245,15 @@ func growFloat64(s []float64, n int) []float64 {
 	return s[:n]
 }
 
+// syncCandidates rebuilds the second-order candidate table and its block
+// index whenever the room's epoch or wall count changed since the last
+// build. A rebuild costs O(W²) pair classifications but reuses every row's
+// storage, so a steady stream of wall moves allocates nothing.
 func (t *Tracer) syncCandidates() {
-	room := t.Room
-	n := len(room.Walls)
-	if t.candValid && t.candEpoch == room.Epoch() && t.candWalls == n {
+	n := len(t.Room.Walls)
+	if t.candValid && t.candEpoch == t.Room.Epoch() && t.candWalls == n {
 		return
 	}
-	if t.candValid && t.candWalls == n {
-		moves, complete := room.AppendMovesSince(t.candMoves[:0], t.candEpoch)
-		t.candMoves = moves[:0]
-		if complete {
-			for _, m := range moves {
-				t.updateCandidates(m.Index)
-			}
-			t.candEpoch = room.Epoch()
-			return
-		}
-	}
-	t.rebuildCandidates()
-}
-
-func (t *Tracer) rebuildCandidates() {
-	n := len(t.Room.Walls)
 	if cap(t.cand) < n {
 		old := t.cand
 		t.cand = make([][]pairCand, n)
@@ -291,8 +270,8 @@ func (t *Tracer) rebuildCandidates() {
 	t.candValid = true
 }
 
-// rebuildBlocks recomputes every block and superblock bounding box and
-// every row's block offsets from scratch.
+// rebuildBlocks recomputes every block bounding box and every row's block
+// offsets from scratch.
 func (t *Tracer) rebuildBlocks() {
 	n := len(t.Room.Walls)
 	nb := (n + wallsPerBlock - 1) / wallsPerBlock
@@ -303,15 +282,6 @@ func (t *Tracer) rebuildBlocks() {
 	}
 	for b := range t.blocks {
 		t.blockBox(b)
-	}
-	ns := (nb + blocksPerSuper - 1) / blocksPerSuper
-	if cap(t.superBlocks) < ns {
-		t.superBlocks = make([]wallBlock, ns)
-	} else {
-		t.superBlocks = t.superBlocks[:ns]
-	}
-	for sb := range t.superBlocks {
-		t.superBox(sb)
 	}
 	// All rows share one backing slab (row i at [i*(nb+1), (i+1)*(nb+1)))
 	// so a rebuild costs O(1) allocations, not one per wall.
@@ -355,29 +325,6 @@ func (t *Tracer) blockBox(b int) {
 	}
 }
 
-// superBox recomputes the bounding box of superblock sb from its member
-// blocks' center/half-extent boxes.
-func (t *Tracer) superBox(sb int) {
-	lo := sb * blocksPerSuper
-	hi := lo + blocksPerSuper
-	if hi > len(t.blocks) {
-		hi = len(t.blocks)
-	}
-	minX, minY := math.Inf(1), math.Inf(1)
-	maxX, maxY := math.Inf(-1), math.Inf(-1)
-	for b := lo; b < hi; b++ {
-		bb := &t.blocks[b]
-		minX = math.Min(minX, bb.cx-bb.rx)
-		minY = math.Min(minY, bb.cy-bb.ry)
-		maxX = math.Max(maxX, bb.cx+bb.rx)
-		maxY = math.Max(maxY, bb.cy+bb.ry)
-	}
-	t.superBlocks[sb] = wallBlock{
-		cx: (minX + maxX) / 2, cy: (minY + maxY) / 2,
-		rx: (maxX - minX) / 2, ry: (maxY - minY) / 2,
-	}
-}
-
 // fillRowStarts records, for the sorted row, where each index block's
 // entries begin: starts[b] is the first entry with j ≥ b·wallsPerBlock,
 // starts[len-1] is len(row).
@@ -404,53 +351,6 @@ func (t *Tracer) buildRow(dst []pairCand, i int) []pairCand {
 		}
 	}
 	return dst
-}
-
-// updateCandidates repairs the table after wall k moved: row k is
-// rebuilt, and k's entry in every other row is recomputed in place
-// (rows stay sorted by j, so the column fix is a binary search each).
-func (t *Tracer) updateCandidates(k int) {
-	walls := t.Room.Walls
-	t.cand[k] = t.buildRow(t.cand[k][:0], k)
-	fillRowStarts(t.cand[k], t.rowStart[k])
-	t.blockBox(k / wallsPerBlock)
-	t.superBox(k / (wallsPerBlock * blocksPerSuper))
-	wk := walls[k].Segment
-	for i := range walls {
-		if i == k {
-			continue
-		}
-		c, ok := makeCand(walls[i].Segment, wk, int32(k))
-		before := len(t.cand[i])
-		t.cand[i] = setRowEntry(t.cand[i], int32(k), c, ok)
-		if len(t.cand[i]) != before {
-			fillRowStarts(t.cand[i], t.rowStart[i])
-		}
-	}
-}
-
-func setRowEntry(row []pairCand, j int32, c pairCand, present bool) []pairCand {
-	lo, hi := 0, len(row)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if row[mid].j < j {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	found := lo < len(row) && row[lo].j == j
-	switch {
-	case found && present:
-		row[lo] = c
-	case found && !present:
-		row = append(row[:lo], row[lo+1:]...)
-	case !found && present:
-		row = append(row, pairCand{})
-		copy(row[lo+1:], row[lo:])
-		row[lo] = c
-	}
-	return row
 }
 
 // makeCand classifies the (wi, wj) mirror pair. ok=false drops the pair
@@ -559,7 +459,7 @@ func (t *Tracer) reflectionLoss(wi int, from, p geom.Vec2) float64 {
 // atmospheric loss, departure/arrival angles — the same arithmetic as the
 // naive finishPath) and appends it to dst unless the loss cutoff drops
 // it. Point storage is recycled: a spare element beyond len(dst) donates
-// its slab, then the tracer's freelist, and only then a fresh allocation.
+// its slab, and only a missing one costs a fresh allocation.
 func (t *Tracer) appendPath(dst []Path, n int, extraLossDB float64, order int) []Path {
 	pts := t.ptsScratch[:n]
 	length := 0.0
@@ -586,7 +486,7 @@ func (t *Tracer) appendPath(dst []Path, n int, extraLossDB float64, order int) [
 
 // takePoints returns an empty capacity-maxTracePoints point slab:
 // preferentially the one parked on dst's next spare element (storage the
-// caller surrendered via TraceAppend(dst[:0], …)), then the freelist.
+// caller surrendered via TraceAppend(dst[:0], …)), else a fresh one.
 func (t *Tracer) takePoints(dst []Path) []geom.Vec2 {
 	if n := len(dst); cap(dst) > n {
 		spare := dst[: n+1 : cap(dst)]
@@ -595,26 +495,7 @@ func (t *Tracer) takePoints(dst []Path) []geom.Vec2 {
 			return p[:0]
 		}
 	}
-	if k := len(t.ptsFree); k > 0 {
-		p := t.ptsFree[k-1]
-		t.ptsFree[k-1] = nil
-		t.ptsFree = t.ptsFree[:k-1]
-		return p[:0]
-	}
 	return make([]geom.Vec2, 0, maxTracePoints)
-}
-
-// ReleasePaths surrenders the point storage of every path in ps to the
-// tracer's freelist and zeroes the entries. Callers dropping a cached
-// path list wholesale use it so the next trace reuses the slabs; the
-// entries must not be read afterwards.
-func (t *Tracer) ReleasePaths(ps []Path) {
-	for i := range ps {
-		if p := ps[i].Points; cap(p) >= maxTracePoints {
-			t.ptsFree = append(t.ptsFree, p[:0])
-		}
-		ps[i] = Path{}
-	}
 }
 
 // Trace returns all propagation paths from tx to rx up to MaxOrder
@@ -738,25 +619,19 @@ func (t *Tracer) traceSecondOrder(dst []Path, tx, rx geom.Vec2) []Path {
 		nD1 := math.Abs(d1x) + math.Abs(d1y)
 		row := t.cand[i]
 		starts := t.rowStart[i]
-		nb := len(t.blocks)
-		for sb := range t.superBlocks {
-			b0 := sb * blocksPerSuper
-			b1 := b0 + blocksPerSuper
-			if b1 > nb {
-				b1 = nb
-			}
-			if starts[b0] == starts[b1] {
+		for b := range t.blocks {
+			lo, hi := starts[b], starts[b+1]
+			if lo == hi {
 				continue
 			}
-			// Two-level block culls: the boxes bound every member wall,
-			// the cone and same-side predicates are linear in the point,
-			// and the box extremes of a cross product are center ±
+			// Block culls: the box bounds every member wall, the cone
+			// and same-side predicates are linear in the point, and the
+			// box extremes of a cross product are center ±
 			// (|e.x|·ry+|e.y|·rx) — so one cross product per predicate
 			// rules a whole index range confidently outside a cone edge
-			// or confidently opposite tx across line(w1). A culled
-			// superblock skips its blocks unexamined; margins keep every
-			// level conservative.
-			bb := &t.superBlocks[sb]
+			// or confidently opposite tx across line(w1). Margins keep
+			// the cull conservative.
+			bb := &t.blocks[b]
 			qCx, qCy := bb.cx-img1.X, bb.cy-img1.Y
 			nQC := math.Abs(qCx) + math.Abs(qCy) + bb.rx + bb.ry
 			if sWedge != 0 {
@@ -780,38 +655,8 @@ func (t *Tracer) traceSecondOrder(dst []Path, tx, rx geom.Vec2) []Path {
 			} else if sC-extD > mD {
 				continue
 			}
-			for b := b0; b < b1; b++ {
-				lo, hi := starts[b], starts[b+1]
-				if lo == hi {
-					continue
-				}
-				bb := &t.blocks[b]
-				qCx, qCy := bb.cx-img1.X, bb.cy-img1.Y
-				nQC := math.Abs(qCx) + math.Abs(qCy) + bb.rx + bb.ry
-				if sWedge != 0 {
-					extA := math.Abs(eAx)*bb.ry + math.Abs(eAy)*bb.rx
-					if eAx*qCy-eAy*qCx+extA < -sideMargin*nEA*nQC {
-						continue
-					}
-					extB := math.Abs(eBx)*bb.ry + math.Abs(eBy)*bb.rx
-					if eBx*qCy-eBy*qCx-extB > sideMargin*nEB*nQC {
-						continue
-					}
-				}
-				sCx, sCy := bb.cx-w1.A.X, bb.cy-w1.A.Y
-				sC := d1x*sCy - d1y*sCx
-				extD := math.Abs(d1x)*bb.ry + math.Abs(d1y)*bb.rx
-				mD := sideMargin * nD1 * (math.Abs(sCx) + math.Abs(sCy) + bb.rx + bb.ry)
-				if sTx > 0 {
-					if sC+extD < -mD {
-						continue
-					}
-				} else if sC-extD > mD {
-					continue
-				}
-				dst = t.traceSecondBlock(dst, row[lo:hi], tx, rx, i, sTx,
-					img1, eAx, eAy, eBx, eBy, sWedge, nEA, nEB)
-			}
+			dst = t.traceSecondBlock(dst, row[lo:hi], tx, rx, i, sTx,
+				img1, eAx, eAy, eBx, eBy, sWedge, nEA, nEB)
 		}
 	}
 	return dst

@@ -222,6 +222,15 @@ func TestSetLinkOffsetWriteThrough(t *testing.T) {
 // and the codebook sweep both run on medium-owned scratch.
 func TestBatchPowerZeroAlloc(t *testing.T) {
 	m, r, cb := batchTestScene(t)
+	// Heat every sector and probe pattern first: a pattern read often
+	// enough crosses the lazy LUT threshold and builds its table, and that
+	// one-off build must not land inside the measured runs.
+	for _, s := range cb.Sectors {
+		s.Pattern.(*antenna.PhasedArray).LinearTable()
+	}
+	for _, q := range cb.QuasiOmni {
+		q.(*antenna.PhasedArray).LinearTable()
+	}
 	refs := cb.SectorRefs(nil, 0.1)
 	probe := antenna.Ref(cb.QuasiOmni[0], math.Pi)
 	m.RxPowerDBm(r[0], r[1])

@@ -3,7 +3,7 @@
 // threshold-based frame detection, frame classification by duration and
 // amplitude, medium-usage metrics (both the §4.1 "traces containing data
 // frames" occupancy and the §4.4 busy-time ratio), frame-length CDFs,
-// burst segmentation, and periodicity estimation for Table 1.
+// and periodicity estimation for Table 1.
 package trace
 
 import (
@@ -165,40 +165,6 @@ func minDur(a, b time.Duration) time.Duration {
 	return b
 }
 
-// Burst is a cluster of frames separated by gaps shorter than the
-// segmentation threshold — the TXOP bursts of §4.1.
-type Burst struct {
-	Start, End time.Duration
-	Frames     []sniffer.Observation
-}
-
-// Duration returns the burst's span.
-func (b Burst) Duration() time.Duration { return b.End - b.Start }
-
-// SegmentBursts groups observations into bursts separated by at least
-// gap of idle air.
-func SegmentBursts(obs []sniffer.Observation, gap time.Duration) []Burst {
-	if len(obs) == 0 {
-		return nil
-	}
-	sorted := append([]sniffer.Observation(nil), obs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Start < sorted[j].Start })
-	var bursts []Burst
-	cur := Burst{Start: sorted[0].Start, End: sorted[0].End, Frames: []sniffer.Observation{sorted[0]}}
-	for _, o := range sorted[1:] {
-		if o.Start-cur.End >= gap {
-			bursts = append(bursts, cur)
-			cur = Burst{Start: o.Start, End: o.End}
-		}
-		cur.Frames = append(cur.Frames, o)
-		if o.End > cur.End {
-			cur.End = o.End
-		}
-	}
-	bursts = append(bursts, cur)
-	return bursts
-}
-
 // Periodicity estimates the repeat interval of a frame class by the
 // median gap between consecutive starts — the Table 1 measurement.
 // Frames closer than minGap are treated as parts of one compound frame
@@ -225,53 +191,6 @@ func Periodicity(obs []sniffer.Observation, class phy.FrameType, src int, minGap
 		gaps = append(gaps, float64(starts[i]-starts[i-1]))
 	}
 	return time.Duration(stats.Median(gaps))
-}
-
-// SeparateByAmplitude splits data frames into a louder and a quieter
-// population by a threshold at the midpoint of the two amplitude
-// clusters — the paper's trick for telling the notebook's frames from
-// the dock's reflected ones (§3.2). Returns (loud, quiet, thresholdV).
-func SeparateByAmplitude(obs []sniffer.Observation) (loud, quiet []sniffer.Observation, thresholdV float64) {
-	data := DataFrames(obs)
-	if len(data) == 0 {
-		return nil, nil, 0
-	}
-	amps := make([]float64, len(data))
-	for i, o := range data {
-		amps[i] = o.AmplitudeV
-	}
-	// 1-D two-means split.
-	lo, hi := stats.Min(amps), stats.Max(amps)
-	th := (lo + hi) / 2
-	for iter := 0; iter < 20; iter++ {
-		var sumL, sumH float64
-		var nL, nH int
-		for _, a := range amps {
-			if a < th {
-				sumL += a
-				nL++
-			} else {
-				sumH += a
-				nH++
-			}
-		}
-		if nL == 0 || nH == 0 {
-			break
-		}
-		nt := (sumL/float64(nL) + sumH/float64(nH)) / 2
-		if nt == th {
-			break
-		}
-		th = nt
-	}
-	for _, o := range data {
-		if o.AmplitudeV >= th {
-			loud = append(loud, o)
-		} else {
-			quiet = append(quiet, o)
-		}
-	}
-	return loud, quiet, th
 }
 
 // CollisionEvents counts data frames that suffered interference overlap
